@@ -503,12 +503,14 @@ func (s *Store) MatchAll(q query.Query) []*entry.Entry {
 
 // Snapshot returns the last committed CSN together with the entries
 // matching q, both taken from one frozen view so the pair is mutually
-// consistent. ReSync session setup and reload depend on this: the engine's
-// content-group cache treats a session's content as a pure function of
-// (spec, CSN), so a commit landing between a CSN read and a content read
-// would fabricate a (CSN, content) pair that never existed in the store's
-// history. Freezing happens under the sequencer lock, so the view also
-// always lands on a commit-batch boundary.
+// consistent. ReSync session setup and reload depend on this: the engine
+// ships the entries as the replica's content at the CSN and classifies only
+// journal records after it, so a commit landing between a CSN read and a
+// content read would fabricate a (CSN, content) pair that never existed in
+// the store's history — its change either lost or classified against a
+// start-of-interval content the replica does not hold. Freezing happens
+// under the sequencer lock, so the view also always lands on a
+// commit-batch boundary.
 func (s *Store) Snapshot(q query.Query) (CSN, []*entry.Entry) {
 	v := s.freeze()
 	return v.csn, v.matchAll(q)
@@ -530,7 +532,7 @@ func (v *view) matchAll(q query.Query) []*entry.Entry {
 			if !ok {
 				continue
 			}
-			if q.InScope(e.DN()) && f.Matches(e) {
+			if q.Matches(e) {
 				out = append(out, e.Select(q.Attrs))
 			}
 		}
@@ -540,7 +542,7 @@ func (v *view) matchAll(q query.Query) []*entry.Entry {
 	scan := func(st *shardState) []*entry.Entry {
 		var part []*entry.Entry
 		for _, e := range st.entries {
-			if q.InScope(e.DN()) && f.Matches(e) {
+			if q.Matches(e) {
 				part = append(part, e.Select(q.Attrs))
 			}
 		}

@@ -23,10 +23,7 @@ func Admitter(specs []query.Query, lookup func(dn.DN) (*entry.Entry, bool)) func
 	}
 	covered := func(e *entry.Entry) bool {
 		for _, q := range normalized {
-			if !q.InScope(e.DN()) {
-				continue
-			}
-			if q.Filter == nil || q.Filter.Matches(e) {
+			if q.Matches(e) {
 				return true
 			}
 		}

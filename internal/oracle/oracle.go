@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"filterdir/internal/dit"
@@ -245,6 +246,36 @@ type harness struct {
 	reps []*replicaSt
 	rep  *Report // accumulates stats; nil during shrinking re-runs
 	step int
+
+	// streamMu guards the doPersist handshake: the engine observer signals
+	// streamed when it sees an exchange of session streamID (see doPersist).
+	streamMu sync.Mutex
+	streamID string
+	streamed chan struct{}
+}
+
+// noteExchange is called by the engine observer for every emitted batch.
+func (h *harness) noteExchange(id string) {
+	h.streamMu.Lock()
+	defer h.streamMu.Unlock()
+	if h.streamed != nil && id == h.streamID {
+		select {
+		case h.streamed <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// watchStream arms (id != "") or disarms the doPersist handshake and
+// returns the channel the observer signals.
+func (h *harness) watchStream(id string) <-chan struct{} {
+	h.streamMu.Lock()
+	defer h.streamMu.Unlock()
+	h.streamID, h.streamed = id, nil
+	if id != "" {
+		h.streamed = make(chan struct{}, 1)
+	}
+	return h.streamed
 }
 
 // runEngine executes one event history against a fresh engine, returning
@@ -255,13 +286,16 @@ func runEngine(cfg Config, hseed int64, events []Event, rep *Report) *Failure {
 		return &Failure{HistorySeed: hseed, Msg: "build synthetic store: " + err.Error()}
 	}
 	h := &harness{cfg: cfg, seed: hseed, st: st, eng: resync.NewEngine(st), mdl: newModel(st), rep: rep}
-	if rep != nil {
-		h.eng.SetObserver(func(_ string, ups []resync.Update, _ bool) {
+	h.eng.SetObserver(func(id string, ups []resync.Update, _ bool) {
+		if rep != nil {
 			for _, u := range ups {
 				rep.Traffic.Add(u)
 			}
 			rep.TrafficHash = foldUpdates(rep.TrafficHash, ups)
-		})
+		}
+		h.noteExchange(id)
+	})
+	if rep != nil {
 		defer func() {
 			snap := h.eng.Counters().Snapshot()
 			rep.SharedClassifyHits += snap.SharedClassifyHits
@@ -535,10 +569,17 @@ func (h *harness) doRetain(r *replicaSt, lost bool) *Failure {
 // event, so at most one batch is due), applies it, and downgrades again —
 // exercising rollback-without-ack plus recompute, including
 // modify-then-revert intervals under persist mode.
+//
+// The downgrade waits for the stream's first update cycle even when
+// nothing is due: that cycle's empty exchange advances the session's sync
+// point in place, and a Close racing it would make the next exchange's
+// traffic (retain versus modify, say) depend on goroutine scheduling.
 func (h *harness) doPersist(r *replicaSt) *Failure {
 	if !r.begun {
 		return h.doPoll(r, false)
 	}
+	streamed := h.watchStream(r.cookie[:strings.LastIndexByte(r.cookie, '@')])
+	defer h.watchStream("")
 	sub, err := h.eng.Persist(r.cookie)
 	if errors.Is(err, resync.ErrNoSuchSession) {
 		// Unknown or ended sync point: the consumer must poll instead (and
@@ -551,7 +592,21 @@ func (h *harness) doPersist(r *replicaSt) *Failure {
 	ref := h.mdl.selection(r.spec)
 	before := copyContent(r.content)
 	var drained []resync.Update
-	if describeDiff(r.content, ref) != "" {
+	if describeDiff(r.content, ref) == "" {
+		// Nothing is due: wait out the first cycle (or the stream's end,
+		// when the journal no longer covers its position).
+		select {
+		case <-streamed:
+		case b, ok := <-sub.Updates:
+			if ok {
+				sub.Close()
+				return h.fail("persist %q: %d updates pushed to an up-to-date replica", r.spec, len(b.Updates))
+			}
+		case <-time.After(2 * time.Second):
+			sub.Close()
+			return h.fail("persist %q: stream ran no update cycle", r.spec)
+		}
+	} else {
 		// Updates are due: exactly one batch covers the whole interval.
 		select {
 		case b, ok := <-sub.Updates:

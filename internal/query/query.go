@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 	"filterdir/internal/filter"
 )
 
@@ -129,6 +130,20 @@ func (q Query) InScope(target dn.DN) bool {
 	default:
 		return false
 	}
+}
+
+// Matches reports whether e belongs to the query's content: its DN lies in
+// the base/scope region and the filter matches it. A nil Filter means
+// (objectclass=*), so entries without an objectClass never match it; a nil
+// entry matches nothing.
+func (q Query) Matches(e *entry.Entry) bool {
+	if e == nil || !q.InScope(e.DN()) {
+		return false
+	}
+	if q.Filter == nil {
+		return e.Has(entry.AttrObjectClass)
+	}
+	return q.Filter.Matches(e)
 }
 
 // WantsAllAttrs reports whether the query selects every user attribute.

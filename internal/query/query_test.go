@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"filterdir/internal/dn"
+	"filterdir/internal/entry"
 )
 
 func TestNewAndFilterDefault(t *testing.T) {
@@ -67,6 +68,35 @@ func TestInScope(t *testing.T) {
 		q := MustNew(base, tt.scope, "")
 		if got := q.InScope(tt.target); got != tt.want {
 			t.Errorf("scope %v target %s: InScope = %v, want %v", tt.scope, tt.target, got, tt.want)
+		}
+	}
+}
+
+func TestMatches(t *testing.T) {
+	person := entry.New(dn.MustParse("cn=a,c=us,o=xyz"))
+	person.Put("objectclass", "person").Put("serialNumber", "0401")
+	bare := entry.New(dn.MustParse("cn=b,c=us,o=xyz"))
+	bare.Put("serialNumber", "0402")
+	elsewhere := entry.New(dn.MustParse("cn=c,c=in,o=xyz"))
+	elsewhere.Put("objectclass", "person").Put("serialNumber", "0403")
+
+	nilFilter := Query{Base: dn.MustParse("c=us,o=xyz"), Scope: ScopeSubtree}
+	serial := MustNew("c=us,o=xyz", ScopeSubtree, "(serialNumber=04*)")
+	cases := []struct {
+		name string
+		q    Query
+		e    *entry.Entry
+		want bool
+	}{
+		{"nil filter, objectClass present", nilFilter, person, true},
+		{"nil filter means (objectclass=*)", nilFilter, bare, false},
+		{"filter ignores objectClass", serial, bare, true},
+		{"out of scope", serial, elsewhere, false},
+		{"nil entry", serial, nil, false},
+	}
+	for _, c := range cases {
+		if got := c.q.Matches(c.e); got != c.want {
+			t.Errorf("%s: Matches = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

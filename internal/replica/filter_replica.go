@@ -46,6 +46,15 @@ type FilterReplica struct {
 	refs     map[string]map[string]bool
 	ownerDNs map[string]map[string]bool
 	dns      map[string]dn.DN
+	// shared keeps, for entries covered by more than one owner, each
+	// owner's own version (norm -> owner key -> version). Owners
+	// synchronize independently, so one owner can overwrite a version
+	// another still vouches for — an entry moving between two stored
+	// queries, say, whose round trip the second owner's stream coalesced to
+	// nothing. When the owner whose version the store holds (the most
+	// recent write) lets go, the most recent remaining version is put back.
+	shared   map[string]map[string]ownedVersion
+	writeSeq uint64
 
 	contentIndexes []string
 	journalLimit   int
@@ -57,6 +66,13 @@ type FilterReplica struct {
 	overlay func(q query.Query, entries []*entry.Entry) []*entry.Entry
 
 	m Metrics
+}
+
+// ownedVersion is one owner's version of an entry, stamped with the
+// replica-wide write sequence so the most recent one can be restored.
+type ownedVersion struct {
+	e   *entry.Entry
+	seq uint64
 }
 
 // Option configures a FilterReplica.
@@ -96,6 +112,7 @@ func NewFilterReplica(opts ...FROption) (*FilterReplica, error) {
 		refs:     make(map[string]map[string]bool),
 		ownerDNs: make(map[string]map[string]bool),
 		dns:      make(map[string]dn.DN),
+		shared:   make(map[string]map[string]ownedVersion),
 	}
 	for _, o := range opts {
 		o(r)
@@ -302,15 +319,32 @@ func (r *FilterReplica) addRefLocked(key string, e *entry.Entry) error {
 	if e == nil {
 		return fmt.Errorf("nil entry in sync update")
 	}
+	norm := e.DN().Norm()
+	set := r.refs[norm]
+	versions := r.shared[norm]
+	if versions == nil && len(set) > 0 && !set[key] {
+		// A second owner: the store holds the first owner's version.
+		versions = make(map[string]ownedVersion)
+		if held, ok := r.store.Get(e.DN()); ok {
+			for other := range set {
+				versions[other] = ownedVersion{e: held}
+			}
+		}
+		r.shared[norm] = versions
+	}
 	if err := r.store.Upsert(e); err != nil {
 		return err
 	}
-	norm := e.DN().Norm()
-	r.dns[norm] = e.DN()
-	if r.refs[norm] == nil {
-		r.refs[norm] = make(map[string]bool)
+	if versions != nil {
+		r.writeSeq++
+		versions[key] = ownedVersion{e: e, seq: r.writeSeq}
 	}
-	r.refs[norm][key] = true
+	r.dns[norm] = e.DN()
+	if set == nil {
+		set = make(map[string]bool)
+		r.refs[norm] = set
+	}
+	set[key] = true
 	if r.ownerDNs[key] == nil {
 		r.ownerDNs[key] = make(map[string]bool)
 	}
@@ -318,16 +352,9 @@ func (r *FilterReplica) addRefLocked(key string, e *entry.Entry) error {
 	return nil
 }
 
-// delRefLocked releases one owner's claim; the entry is removed with its
-// last reference.
+// delRefLocked releases one owner's claim.
 func (r *FilterReplica) delRefLocked(key, norm string) {
-	if set, ok := r.refs[norm]; ok {
-		delete(set, key)
-		if len(set) == 0 {
-			delete(r.refs, norm)
-			_ = r.removeByNorm(norm)
-		}
-	}
+	r.releaseLocked(key, norm)
 	if set, ok := r.ownerDNs[key]; ok {
 		delete(set, norm)
 	}
@@ -335,15 +362,47 @@ func (r *FilterReplica) delRefLocked(key, norm string) {
 
 func (r *FilterReplica) dropOwnerLocked(key string) {
 	for norm := range r.ownerDNs[key] {
-		if set, ok := r.refs[norm]; ok {
-			delete(set, key)
-			if len(set) == 0 {
-				delete(r.refs, norm)
-				_ = r.removeByNorm(norm)
-			}
-		}
+		r.releaseLocked(key, norm)
 	}
 	delete(r.ownerDNs, key)
+}
+
+// releaseLocked drops one owner's reference to an entry. The entry is
+// removed with its last reference; if other owners remain and the store
+// holds the releasing owner's version, the most recent remaining owner's
+// version is restored.
+func (r *FilterReplica) releaseLocked(key, norm string) {
+	set, ok := r.refs[norm]
+	if !ok {
+		return
+	}
+	delete(set, key)
+	if len(set) == 0 {
+		delete(r.refs, norm)
+		delete(r.shared, norm)
+		_ = r.removeByNorm(norm)
+		return
+	}
+	versions := r.shared[norm]
+	if versions == nil {
+		return
+	}
+	released := versions[key]
+	delete(versions, key)
+	var newest ownedVersion
+	for _, v := range versions {
+		if newest.e == nil || v.seq > newest.seq {
+			newest = v
+		}
+	}
+	if newest.e != nil && released.seq > newest.seq {
+		// The store held this DN a moment ago, so it cannot refuse it.
+		_ = r.store.Upsert(newest.e)
+		r.dns[norm] = newest.e.DN()
+	}
+	if len(set) == 1 {
+		delete(r.shared, norm)
+	}
 }
 
 // removeByNorm removes an entry from the content store by normalized DN.

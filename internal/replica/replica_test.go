@@ -277,6 +277,56 @@ func TestFilterReplicaRefCounting(t *testing.T) {
 	}
 }
 
+// TestFilterReplicaRestoresDisplacedVersion: owners sync independently,
+// so one owner's write can displace a version another owner still vouches
+// for. Here an entry moves from (grp=0) into (grp=1) and back; the (grp=1)
+// owner sees the round trip, while the (grp=0) owner's stream coalesced it
+// to a net-unchanged interval and ships nothing. When the (grp=1) owner
+// lets go, the (grp=0) owner's version must be back in the store.
+func TestFilterReplicaRestoresDisplacedVersion(t *testing.T) {
+	r, err := NewFilterReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q0 := query.MustNew("", query.ScopeSubtree, "(grp=0)")
+	q1 := query.MustNew("", query.ScopeSubtree, "(grp=1)")
+	version := func(grp, val string) *entry.Entry {
+		e := entry.New(dn.MustParse("cn=e1,o=xyz"))
+		e.Put("objectclass", "device").Put("cn", "e1").Put("grp", grp).Put("val", val)
+		return e
+	}
+	home, visit := version("0", "1"), version("1", "3")
+	apply := func(q query.Query, u resync.Update) {
+		t.Helper()
+		if err := r.ApplySync(q, []resync.Update{u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(q0, resync.Update{Action: resync.ActionAdd, DN: home.DN(), Entry: home})
+	apply(q1, resync.Update{Action: resync.ActionAdd, DN: visit.DN(), Entry: visit})
+	apply(q1, resync.Update{Action: resync.ActionDelete, DN: visit.DN()})
+	got, ok := r.Store().Get(home.DN())
+	if !ok {
+		t.Fatal("entry still covered by (grp=0) was removed")
+	}
+	if !got.Equal(home) {
+		t.Errorf("store holds %s, want the (grp=0) owner's version %s", got, home)
+	}
+
+	// The owner whose version the store holds releasing its claim leaves
+	// the other owners' versions alone; the last release removes it.
+	apply(q1, resync.Update{Action: resync.ActionAdd, DN: visit.DN(), Entry: visit})
+	apply(q0, resync.Update{Action: resync.ActionModify, DN: home.DN(), Entry: home})
+	apply(q1, resync.Update{Action: resync.ActionDelete, DN: visit.DN()})
+	if got, _ := r.Store().Get(home.DN()); !got.Equal(home) {
+		t.Errorf("store holds %s after a non-writer release, want %s", got, home)
+	}
+	apply(q0, resync.Update{Action: resync.ActionDelete, DN: home.DN()})
+	if r.EntryCount() != 0 {
+		t.Errorf("EntryCount = %d after the last owner let go, want 0", r.EntryCount())
+	}
+}
+
 func TestFilterReplicaUserQueryCache(t *testing.T) {
 	master := buildMaster(t)
 	r, err := NewFilterReplica(WithCacheCapacity(2))

@@ -22,7 +22,8 @@ func NewApplier(store *dit.Store) *Applier {
 
 // Apply applies a poll result for the given content spec. On FullReload the
 // spec's prior local content is discarded first. Retain updates are only
-// valid in results produced by PollRetain; use ApplyRetain for those.
+// valid in results produced by PollRetain, whose consumer must also drop
+// every held entry the result does not mention.
 func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 	if res.FullReload {
 		if err := a.dropContent(spec); err != nil {
@@ -42,37 +43,6 @@ func (a *Applier) Apply(spec query.Query, res *PollResult) error {
 			}
 		case ActionRetain:
 			return fmt.Errorf("retain action outside retain-mode sync for %q", u.DN.String())
-		}
-	}
-	return nil
-}
-
-// ApplyRetain applies an equation-(3) retain-mode result: mentioned entries
-// are upserted or retained, and every held in-content entry that was not
-// mentioned is discarded.
-func (a *Applier) ApplyRetain(spec query.Query, res *PollResult) error {
-	mentioned := make(map[string]bool, len(res.Updates))
-	for _, u := range res.Updates {
-		a.Traffic.Add(u)
-		mentioned[u.DN.Norm()] = true
-		switch u.Action {
-		case ActionAdd, ActionModify:
-			if err := a.Store.Upsert(u.Entry); err != nil {
-				return fmt.Errorf("apply %s %q: %w", u.Action, u.DN.String(), err)
-			}
-		case ActionRetain:
-			// Nothing to do: the entry is unchanged and already held.
-		case ActionDelete:
-			if err := a.Store.RemoveAny(u.DN); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
-				return err
-			}
-		}
-	}
-	for _, held := range a.Store.MatchAll(stripAttrs(spec)) {
-		if !mentioned[held.DN().Norm()] {
-			if err := a.Store.RemoveAny(held.DN()); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
-				return err
-			}
 		}
 	}
 	return nil

@@ -28,8 +28,9 @@ import (
 // PollRetain performs an incomplete-history synchronization per equation
 // (3): for every entry currently in the content, either a retain action
 // (unchanged since the session's last sync point) or an add/modify with the
-// full entry. The session's content map tells adds from modifies. The
-// consumer must discard held entries not mentioned in the result.
+// full entry. The journal tells adds from modifies: a changed entry was
+// held when the first record touching it has a before-image in the content.
+// The consumer must discard held entries not mentioned in the result.
 func (e *Engine) PollRetain(cookie string) (*PollResult, error) {
 	sess, err := e.lookup(cookie)
 	if err != nil {
@@ -41,58 +42,37 @@ func (e *Engine) PollRetain(cookie string) (*PollResult, error) {
 		return nil, ErrNoSuchSession
 	}
 	e.stats.RetainPolls.Add(1)
-	// The session's content map describes the replica only if the replica
-	// is positioned at a known sync point: rewind to the presented
-	// generation, rolling back state from responses the replica evidently
-	// never applied. If the point is gone (lost response whose state was
-	// already replaced, or evicted history), nothing can be proven held —
-	// a DN-only retain would then reference an entry the replica may never
-	// have received. Degrade to a full transfer: clear the held set so
-	// every content entry ships as a full entry and nothing is retained.
+	// The replica's holdings are provable only from a known sync point the
+	// journal still covers: rewind to the presented generation, rolling back
+	// responses the replica evidently never applied, and read the records
+	// since. If the point is gone (lost response whose state was already
+	// replaced, or evicted history) or the journal was trimmed past it,
+	// nothing can be proven held — a DN-only retain would then reference an
+	// entry the replica may never have received. Degrade to a full
+	// transfer: every content entry ships as an add and nothing is retained.
 	_, gen := splitCookie(cookie)
-	if !sess.rewindTo(gen) {
-		sess.content = make(map[string]dn.DN)
+	var changes []dit.Change
+	known := sess.rewindTo(gen)
+	if known {
+		changes, known = e.store.ChangesSince(sess.csn)
 	}
-	// Which DNs changed at all since the sync point? With trimmed history,
-	// everything is considered changed.
-	changedDNs := make(map[string]bool)
-	haveHistory := false
-	if changes, ok := e.store.ChangesSince(sess.csn); ok {
-		haveHistory = true
-		for _, c := range changes {
-			changedDNs[c.DN.Norm()] = true
-			if c.Type == dit.ChangeModifyDN {
-				changedDNs[c.NewDN.Norm()] = true
-			}
-		}
-	}
+	atPoint, _ := touchedImages(changes)
 
 	res := &PollResult{}
-	// Atomic (csn, entries) read: the session may belong to a content group,
-	// whose shared-interval cache requires the content map to be exactly the
-	// store's content at the recorded CSN (see Engine.Begin).
-	csn, entries := e.store.Snapshot(stripAttrs(sess.spec))
-	newContent := make(map[string]dn.DN, len(entries))
+	csn, entries := e.store.Snapshot(sess.spec)
 	for _, ent := range entries {
-		norm := ent.DN().Norm()
-		newContent[norm] = ent.DN()
-		_, held := sess.content[norm]
-		unchanged := haveHistory && !changedDNs[norm]
+		prior, changed := atPoint[ent.DN().Norm()]
 		switch {
-		case unchanged && held:
+		case known && !changed:
 			res.Updates = append(res.Updates, Update{Action: ActionRetain, DN: ent.DN()})
-		case held:
-			sel := ent.Select(sess.spec.Attrs)
-			res.Updates = append(res.Updates, Update{Action: ActionModify, DN: sel.DN(), Entry: sel})
+		case known && sess.spec.Matches(prior):
+			res.Updates = append(res.Updates, Update{Action: ActionModify, DN: ent.DN(), Entry: ent})
 		default:
-			sel := ent.Select(sess.spec.Attrs)
-			res.Updates = append(res.Updates, Update{Action: ActionAdd, DN: sel.DN(), Entry: sel})
+			res.Updates = append(res.Updates, Update{Action: ActionAdd, DN: ent.DN(), Entry: ent})
 		}
 	}
 	// Retain mode has no per-point resume history (it exists to model an
-	// incomplete-history server): the session state is replaced wholesale
-	// and only the new point is resumable.
-	sess.content = newContent
+	// incomplete-history server): only the new point is resumable.
 	sess.csn = csn
 	sess.genSeq++
 	sess.points = []syncPoint{{gen: sess.genSeq, csn: csn}}
@@ -144,23 +124,17 @@ func (ts *TombstoneServer) Poll(sess *TombstoneSession) (*PollResult, bool) {
 		return nil, false
 	}
 	res := &PollResult{}
-	inContent := func(ent *entry.Entry) bool {
-		if ent == nil {
-			return false
-		}
-		return sess.Spec.InScope(ent.DN()) && specFilter(sess.Spec).Matches(ent)
-	}
 	for _, c := range changes {
 		switch c.Type {
 		case dit.ChangeAdd:
-			if inContent(c.After) {
+			if sess.Spec.Matches(c.After) {
 				res.Updates = append(res.Updates, Update{Action: ActionAdd, DN: c.DN, Entry: c.After})
 				sess.content[c.DN.Norm()] = true
 			}
 		case dit.ChangeModify:
 			norm := c.DN.Norm()
 			was := sess.content[norm]
-			is := inContent(c.After)
+			is := sess.Spec.Matches(c.After)
 			switch {
 			case was && is:
 				res.Updates = append(res.Updates, Update{Action: ActionModify, DN: c.DN, Entry: c.After})
@@ -177,7 +151,7 @@ func (ts *TombstoneServer) Poll(sess *TombstoneSession) (*PollResult, bool) {
 				res.Updates = append(res.Updates, Update{Action: ActionDelete, DN: c.DN})
 				delete(sess.content, oldNorm)
 			}
-			if inContent(c.After) {
+			if sess.Spec.Matches(c.After) {
 				res.Updates = append(res.Updates, Update{Action: ActionAdd, DN: c.NewDN, Entry: c.After})
 				sess.content[c.NewDN.Norm()] = true
 			}
@@ -248,7 +222,7 @@ func (cs *ChangelogServer) Since(spec query.Query, after dit.CSN) ([]ChangelogRe
 		last = c.CSN
 		switch c.Type {
 		case dit.ChangeAdd:
-			if region.InScope(c.DN) && specFilter(spec).Matches(c.After) {
+			if spec.Matches(c.After) {
 				out = append(out, ChangelogRecord{Type: c.Type, DN: c.DN, Entry: c.After})
 			}
 		case dit.ChangeModify:
@@ -299,7 +273,7 @@ func (c *ChangelogConsumer) Apply(records []ChangelogRecord) {
 		c.Bytes += r.ByteSize()
 		switch r.Type {
 		case dit.ChangeAdd:
-			if specFilter(c.Spec).Matches(r.Entry) && c.Spec.InScope(r.DN) {
+			if c.Spec.Matches(r.Entry) {
 				c.Entries[r.DN.Norm()] = r.Entry.Clone()
 			}
 		case dit.ChangeDelete:
@@ -313,7 +287,7 @@ func (c *ChangelogConsumer) Apply(records []ChangelogRecord) {
 				continue
 			}
 			applyMods(held, r.Mods)
-			if !specFilter(c.Spec).Matches(held) {
+			if !c.Spec.Matches(held) {
 				delete(c.Entries, r.DN.Norm())
 			}
 		case dit.ChangeModifyDN:
@@ -350,11 +324,5 @@ func applyMods(e *entry.Entry, mods []dit.Mod) {
 // FullReload returns the entire current content as add actions — the
 // maximal-traffic baseline.
 func FullReload(store *dit.Store, spec query.Query) []Update {
-	entries := store.MatchAll(stripAttrs(spec))
-	out := make([]Update, 0, len(entries))
-	for _, ent := range entries {
-		sel := ent.Select(spec.Attrs)
-		out = append(out, Update{Action: ActionAdd, DN: sel.DN(), Entry: sel})
-	}
-	return out
+	return addAll(store.MatchAll(spec))
 }

@@ -14,11 +14,11 @@ import (
 
 // Content-group fan-out (DESIGN.md §10). Sessions whose (base, scope,
 // filter) triples are equal — or provably equivalent via the containment
-// checker — share a content group. A session's content map is a pure
-// function of (spec, CSN), so every member standing at the same sync CSN
-// classifies the same change interval to the same result; the group caches
-// that classification and each member applies it as a cheap content-map
-// delta replay, keeping its own generation cookies and undo history intact.
+// checker — share a content group. Classifying a change interval reads only
+// the spec and the journal records in it (computeInterval), so every member
+// crossing the same interval gets the same result; the group caches that
+// classification and each member just takes it, keeping its own generation
+// cookies and sync-point history.
 // Attribute selection stays per-session: members are sub-grouped into
 // views (one per distinct attrs list) and the selected update batch is
 // built once per view.
@@ -77,14 +77,6 @@ type rawUpdate struct {
 	prior  *entry.Entry
 }
 
-// contentOp is one content-map transition of the interval; replaying the
-// list through setContent/delContent yields the member's undo record.
-type contentOp struct {
-	norm    string
-	dn      dn.DN
-	present bool
-}
-
 // viewBatch is the update set of one interval as seen through one
 // attribute selection, plus its shared wire-encoding memo.
 type viewBatch struct {
@@ -98,7 +90,6 @@ type viewBatch struct {
 type sharedInterval struct {
 	from, to dit.CSN
 	raws     []rawUpdate
-	delta    []contentOp
 
 	mu    sync.Mutex
 	views map[string]*viewBatch
@@ -337,141 +328,94 @@ func (g *group) storeInterval(si *sharedInterval) *sharedInterval {
 	return si
 }
 
-// classifyFor produces one session's update batch and undo record for a
-// change interval: the raw classification is computed once per group (or
-// inline for ungrouped engines), the session's content map replays the
-// interval's delta, and the attribute-selected batch comes from the
+// classifyFor produces one session's update batch for a change interval:
+// the raw classification is computed once per group (or inline for
+// ungrouped engines) and the attribute-selected batch comes from the
 // per-view overlay. The caller holds sess.mu.
-func (e *Engine) classifyFor(sess *session, changes []dit.Change) ([]Update, []undoOp, *SharedEnc) {
+func (e *Engine) classifyFor(sess *session, changes []dit.Change) ([]Update, *SharedEnc) {
 	if len(changes) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	g := sess.group
+	var si *sharedInterval
 	if g == nil {
-		si := computeInterval(sess.spec, sess.content, changes)
-		undo := applyInterval(sess, si)
-		vb := si.view(sess.viewKey, sess.spec.Attrs)
-		if vb.suppressed > 0 {
-			e.stats.SuppressedModifies.Add(vb.suppressed)
-		}
-		return vb.updates, undo, nil
-	}
-	from, to := sess.csn, changes[len(changes)-1].CSN
-	si := g.lookupInterval(from, to)
-	if si == nil {
-		si = computeInterval(g.spec, sess.content, changes)
-		si.from, si.to = from, to
-		si = g.storeInterval(si)
-		e.stats.SharedClassifyMisses.Add(1)
+		si = computeInterval(sess.spec, changes)
 	} else {
-		e.stats.SharedClassifyHits.Add(1)
+		from, to := sess.csn, changes[len(changes)-1].CSN
+		if si = g.lookupInterval(from, to); si != nil {
+			e.stats.SharedClassifyHits.Add(1)
+		} else {
+			si = computeInterval(g.spec, changes)
+			si.from, si.to = from, to
+			si = g.storeInterval(si)
+			e.stats.SharedClassifyMisses.Add(1)
+		}
 	}
-	undo := applyInterval(sess, si)
 	vb := si.view(sess.viewKey, sess.spec.Attrs)
 	if vb.suppressed > 0 {
 		e.stats.SuppressedModifies.Add(vb.suppressed)
 	}
+	if g == nil {
+		return vb.updates, nil
+	}
 	g.served.Add(uint64(len(vb.updates)))
-	return vb.updates, undo, vb.enc
+	return vb.updates, vb.enc
 }
 
-// applyInterval replays the interval's content-map transitions through the
-// session, producing the undo record for its new sync point.
-func applyInterval(sess *session, si *sharedInterval) []undoOp {
-	var undo []undoOp
-	for _, op := range si.delta {
-		if op.present {
-			sess.setContent(op.norm, op.dn, &undo)
-		} else {
-			sess.delContent(op.norm, &undo)
-		}
-	}
-	return undo
-}
-
-// computeInterval replays journal changes against the start-of-interval
-// content, classifying every touched DN to its net E01/E10/E11 action.
-// content is read, never written: the per-session delta replay owns
-// content-map mutation. The result is valid for every session of the spec
-// standing at the interval's starting CSN — a session's content is a pure
-// function of (spec, CSN).
-func computeInterval(spec query.Query, content map[string]dn.DN, changes []dit.Change) *sharedInterval {
-	// initial[norm] records whether the DN was in content at the start of
-	// the interval; firstBefore holds the entry snapshot at that point, the
-	// reference for net-change detection; finalEnt tracks the final entry
-	// snapshot per DN.
-	initial := make(map[string]bool)
-	firstBefore := make(map[string]*entry.Entry)
-	finalEnt := make(map[string]*entry.Entry)
-	finalIn := make(map[string]bool)
-	finalDN := make(map[string]dn.DN)
-	changed := make(map[string]bool)
-
-	note := func(d dn.DN, before bool, prior *entry.Entry) {
+// touchedImages maps every DN the journal records touch, by normalized
+// DN, to its entry as it stood before the first of them and after the last
+// (nil where the DN held no entry). The first record's Before image is the
+// start-of-interval entry: an add has none, nor has the new DN of a
+// modifyDN, and the store refuses both on a DN that exists, so a DN first
+// touched that way was absent.
+func touchedImages(changes []dit.Change) (first, last map[string]*entry.Entry) {
+	first = make(map[string]*entry.Entry)
+	last = make(map[string]*entry.Entry)
+	touch := func(d dn.DN, before, after *entry.Entry) {
 		norm := d.Norm()
-		if _, seen := initial[norm]; !seen {
-			initial[norm] = before
-			firstBefore[norm] = prior
+		if _, seen := first[norm]; !seen {
+			first[norm] = before
 		}
-		changed[norm] = true
-		finalDN[norm] = d
+		last[norm] = after
 	}
-	inContent := func(ent *entry.Entry) bool {
-		return ent != nil && spec.InScope(ent.DN()) && specFilter(spec).Matches(ent)
-	}
-
 	for _, c := range changes {
 		switch c.Type {
 		case dit.ChangeAdd, dit.ChangeModify:
-			norm := c.DN.Norm()
-			_, wasIn := content[norm]
-			note(c.DN, wasIn, c.Before)
-			finalIn[norm] = inContent(c.After)
-			finalEnt[norm] = c.After
+			touch(c.DN, c.Before, c.After)
 		case dit.ChangeDelete:
-			norm := c.DN.Norm()
-			_, wasIn := content[norm]
-			note(c.DN, wasIn, c.Before)
-			finalIn[norm] = false
-			finalEnt[norm] = nil
+			touch(c.DN, c.Before, nil)
 		case dit.ChangeModifyDN:
-			oldNorm := c.DN.Norm()
-			_, wasIn := content[oldNorm]
-			note(c.DN, wasIn, c.Before)
-			finalIn[oldNorm] = false
-			finalEnt[oldNorm] = nil
-			newNorm := c.NewDN.Norm()
-			_, newWasIn := content[newNorm]
-			note(c.NewDN, newWasIn, nil)
-			finalIn[newNorm] = inContent(c.After)
-			finalEnt[newNorm] = c.After
+			touch(c.DN, c.Before, nil)
+			touch(c.NewDN, nil, c.After)
 		}
 	}
+	return first, last
+}
 
+// computeInterval classifies every DN the journal changes touch to its net
+// E01/E10/E11 action over the interval. Start-of-interval membership comes
+// from the journal itself: a DN was in the content exactly when the spec
+// matches its entry before the interval's first record touching it. The
+// result depends only on the spec and the records, so it is valid for
+// every session of the spec crossing the same interval.
+func computeInterval(spec query.Query, changes []dit.Change) *sharedInterval {
+	first, last := touchedImages(changes)
 	si := &sharedInterval{views: make(map[string]*viewBatch)}
-	norms := make([]string, 0, len(changed))
-	for norm := range changed {
+	norms := make([]string, 0, len(first))
+	for norm := range first {
 		norms = append(norms, norm)
 	}
 	sort.Strings(norms)
 	for _, norm := range norms {
-		was, is := initial[norm], finalIn[norm]
-		switch {
+		prior, ent := first[norm], last[norm]
+		switch was, is := spec.Matches(prior), spec.Matches(ent); {
 		case !was && is:
-			ent := finalEnt[norm]
 			si.raws = append(si.raws, rawUpdate{action: ActionAdd, ent: ent})
-			si.delta = append(si.delta, contentOp{norm: norm, dn: ent.DN(), present: true})
 		case was && !is:
-			d := finalDN[norm]
-			if held, ok := content[norm]; ok {
-				d = held
-			}
-			si.raws = append(si.raws, rawUpdate{action: ActionDelete, dn: d})
-			si.delta = append(si.delta, contentOp{norm: norm})
+			// The delete names the DN as the replica holds it.
+			si.raws = append(si.raws, rawUpdate{action: ActionDelete, dn: prior.DN()})
 		case was && is:
-			ent := finalEnt[norm]
-			si.raws = append(si.raws, rawUpdate{action: ActionModify, ent: ent, prior: firstBefore[norm]})
-			si.delta = append(si.delta, contentOp{norm: norm, dn: ent.DN(), present: true})
+			si.raws = append(si.raws, rawUpdate{action: ActionModify, ent: ent, prior: prior})
 		}
 	}
 	return si
@@ -578,7 +522,7 @@ func (g *group) broadcast(stop <-chan struct{}, done chan<- struct{}) {
 }
 
 // cycle synchronizes every subscriber once. The shared-interval cache
-// makes this one real classification plus a map-delta replay per member.
+// makes this one real classification plus a cache lookup per member.
 func (g *group) cycle() {
 	g.cycleMu.Lock()
 	defer g.cycleMu.Unlock()
@@ -626,11 +570,12 @@ func (g *group) syncOne(st *subscriber) {
 		g.remove(st.sub)
 		return
 	}
-	res, err := e.poll(st.sess)
+	res, ok := e.poll(st.sess)
 	st.sess.mu.Unlock()
-	if err != nil || res.FullReload {
-		// A push stream cannot convey a reload; end it — the consumer's
-		// fallback poll re-delivers the content.
+	if !ok {
+		// The journal no longer covers the stream position, and a push
+		// stream cannot convey a reload: end it with the session untouched,
+		// so the consumer's fallback poll computes the one reload.
 		g.remove(st.sub)
 		return
 	}

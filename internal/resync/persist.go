@@ -154,15 +154,13 @@ func (e *Engine) persistSolo(sess *session) *Subscription {
 				sess.mu.Unlock()
 				return
 			}
-			res, err := e.poll(sess)
+			res, ok := e.poll(sess)
 			sess.mu.Unlock()
-			if err != nil {
-				return
-			}
-			if res.FullReload {
-				// The journal no longer covers the stream position; a push
-				// stream cannot convey a reload. End the stream — the
-				// consumer's fallback poll re-delivers the content.
+			if !ok {
+				// The journal no longer covers the stream position, and a
+				// push stream cannot convey a reload: end it with the session
+				// untouched, so the consumer's fallback poll computes the
+				// one reload.
 				return
 			}
 			if len(res.Updates) > 0 {

@@ -88,9 +88,8 @@ func (e *Engine) chunked(updates []Update) bool {
 
 // beginTransfer records a chunked reload for the session and emits chunk
 // zero. The session is already positioned at the transfer's final sync
-// point (content map, points, csn) — only the consumer lags, chunk by
-// chunk, until the final exchange hands it the completion cookie. The
-// caller holds sess.mu.
+// point — only the consumer lags, chunk by chunk, until the final exchange
+// hands it the completion cookie. The caller holds sess.mu.
 func (e *Engine) beginTransfer(sess *session, updates []Update, csn dit.CSN) *PollResult {
 	e.dropTransfer(sess) // supersede any previous transfer
 	tr := &transfer{

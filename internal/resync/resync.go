@@ -101,15 +101,6 @@ func (t *Traffic) Add(u Update) {
 // Updates returns the total number of update PDUs.
 func (t *Traffic) Updates() int { return t.Adds + t.Deletes + t.Modifies + t.Retains }
 
-// Merge adds another traffic record into t.
-func (t *Traffic) Merge(o Traffic) {
-	t.Adds += o.Adds
-	t.Deletes += o.Deletes
-	t.Modifies += o.Modifies
-	t.Retains += o.Retains
-	t.Bytes += o.Bytes
-}
-
 // Errors returned by the engine.
 var (
 	ErrNoSuchSession = errors.New("no such resync session")
@@ -210,17 +201,19 @@ func (e *Engine) observe(id string, updates []Update, fullReload bool) {
 }
 
 // session records the per-replica synchronization state: the content
-// specification, the CSN up to which the replica is synchronized, and the
-// DN set of the content at that CSN (the basis for classifying moves in and
-// out — the "session history" of the paper).
+// specification and the CSN up to which the replica is synchronized — the
+// "session history" of the paper. The session holds no per-entry state: the
+// replica's content at a sync point is the spec's content of the store at
+// that CSN, and the journal's before-images tell which DNs were in it when
+// an interval began (computeInterval), so per-session state is O(1).
 //
 // Delivery is at-least-once: every response carries a cookie naming the
 // sync point ("sess-N@gen") it brings the replica to, and the session keeps
-// a bounded history of recent points with undo records. A replica that
-// lost a response re-presents its previous cookie; the engine rolls the
-// content map back to that point and recomputes, so a dropped connection
-// never loses updates. Presenting a cookie acknowledges its point —
-// anything older is discarded.
+// a bounded history of recent points. A replica that lost a response
+// re-presents its previous cookie; the engine repositions the session at
+// that point's CSN and recomputes, so a dropped connection never loses
+// updates. Presenting a cookie acknowledges its point — anything older is
+// discarded.
 type session struct {
 	id string
 
@@ -234,10 +227,9 @@ type session struct {
 	group   *group // content group, nil when grouping is disabled
 	viewKey string // attribute-selection key within the group
 	genSeq  uint64
-	csn     dit.CSN          // CSN of the newest sync point
-	content map[string]dn.DN // norm DN -> DN of entries in content at csn
+	csn     dit.CSN // CSN of the newest sync point
 	// points is the resumable history, oldest (last acknowledged) first;
-	// the final element matches csn/content.
+	// the final element matches csn.
 	points []syncPoint
 	// transfer is the session's in-flight (or just-completed) chunked
 	// reload, nil outside one (resume.go).
@@ -246,16 +238,8 @@ type session struct {
 
 // syncPoint is one replica-visible synchronization state.
 type syncPoint struct {
-	gen  uint64
-	csn  dit.CSN
-	undo []undoOp // restores the previous (older) point's content map
-}
-
-// undoOp reverts one content-map key to its value at the previous point.
-type undoOp struct {
-	norm    string
-	dn      dn.DN
-	present bool
+	gen uint64
+	csn dit.CSN
 }
 
 // defaultSyncPointRetention bounds the per-session resume history when no
@@ -284,7 +268,7 @@ func splitCookie(cookie string) (id string, gen uint64) {
 	return cookie[:i], g
 }
 
-// rollbackTo rolls the content map back to the sync point gen, discarding
+// rollbackTo repositions the session at the sync point gen, discarding
 // newer points — responses the replica evidently never applied, which will
 // be recomputed. Older points are kept: rollback alone does not prove the
 // replica holds gen durably. Reports whether the point was found.
@@ -299,15 +283,6 @@ func (sess *session) rollbackTo(gen uint64) bool {
 	if idx < 0 {
 		return false
 	}
-	for j := len(sess.points) - 1; j > idx; j-- {
-		for _, u := range sess.points[j].undo {
-			if u.present {
-				sess.content[u.norm] = u.dn
-			} else {
-				delete(sess.content, u.norm)
-			}
-		}
-	}
 	sess.points = sess.points[:idx+1]
 	sess.csn = sess.points[idx].csn
 	return true
@@ -320,32 +295,8 @@ func (sess *session) rewindTo(gen uint64) bool {
 	if !sess.rollbackTo(gen) {
 		return false
 	}
-	base := sess.points[len(sess.points)-1]
-	base.undo = nil
-	sess.points = append(sess.points[:0], base)
+	sess.points = append(sess.points[:0], sess.points[len(sess.points)-1])
 	return true
-}
-
-// setContent records an insertion or replacement in the content map with
-// its undo. A no-op write (same DN) records nothing.
-func (sess *session) setContent(norm string, d dn.DN, undo *[]undoOp) {
-	if old, ok := sess.content[norm]; ok {
-		if old.SameSpelling(d) {
-			return
-		}
-		*undo = append(*undo, undoOp{norm: norm, dn: old, present: true})
-	} else {
-		*undo = append(*undo, undoOp{norm: norm})
-	}
-	sess.content[norm] = d
-}
-
-// delContent records a deletion from the content map with its undo.
-func (sess *session) delContent(norm string, undo *[]undoOp) {
-	if old, ok := sess.content[norm]; ok {
-		*undo = append(*undo, undoOp{norm: norm, dn: old, present: true})
-		delete(sess.content, norm)
-	}
 }
 
 // EngineOption configures NewEngine.
@@ -486,21 +437,16 @@ type PollResult struct {
 // Begin starts a synchronization session for the content of spec: the
 // entire current content is returned as add actions together with the
 // session cookie (the null-cookie case of Section 5.2). The sync CSN and
-// the content are read atomically (Store.Snapshot): the group cache keys
-// shared classifications by (spec, CSN) only, so a content map that did
-// not match its CSN would be replayed onto every other member standing at
-// that CSN and diverge them permanently.
+// the content are read atomically (Store.Snapshot): every later exchange
+// classifies the journal after that CSN against the content at it, so a
+// content read that did not match its CSN would lose or misclassify the
+// commits in between.
 func (e *Engine) Begin(spec query.Query) (*PollResult, error) {
-	csn, entries := e.store.Snapshot(stripAttrs(spec))
-	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs), genSeq: 1, csn: csn, content: make(map[string]dn.DN, len(entries))}
+	csn, entries := e.store.Snapshot(spec)
+	sess := &session{spec: spec, viewKey: viewKey(spec.Attrs), genSeq: 1, csn: csn}
 	sess.group = e.joinGroup(spec)
 	sess.points = []syncPoint{{gen: 1, csn: csn}}
-	updates := make([]Update, 0, len(entries))
-	for _, ent := range entries {
-		sess.content[ent.DN().Norm()] = ent.DN()
-		sel := ent.Select(spec.Attrs)
-		updates = append(updates, Update{Action: ActionAdd, DN: sel.DN(), Entry: sel})
-	}
+	updates := addAll(entries)
 	e.mu.Lock()
 	e.nextID++
 	sess.id = "sess-" + strconv.FormatUint(e.nextID, 10)
@@ -542,20 +488,25 @@ func (e *Engine) Poll(cookie string) (*PollResult, error) {
 	// Presenting a cookie at (or past) a completed chunked transfer proves
 	// the consumer holds its content; the pinned snapshot can be let go.
 	e.settleTransfer(sess)
-	return e.poll(sess)
+	if res, ok := e.poll(sess); ok {
+		return res, nil
+	}
+	return e.reload(sess), nil
 }
 
-// poll runs one synchronization exchange from the session's newest sync
-// point; the caller holds sess.mu.
-func (e *Engine) poll(sess *session) (*PollResult, error) {
+// poll runs one incremental synchronization exchange from the session's
+// newest sync point. When the journal no longer covers that point it
+// reports false and leaves the session untouched: the caller decides
+// whether to reload. The caller holds sess.mu.
+func (e *Engine) poll(sess *session) (*PollResult, bool) {
 	changes, ok := e.store.ChangesSince(sess.csn)
 	if !ok {
-		return e.reload(sess), nil
+		return nil, false
 	}
 
 	res := &PollResult{}
 	start := time.Now()
-	updates, undo, enc := e.classifyFor(sess, changes)
+	updates, enc := e.classifyFor(sess, changes)
 	res.Updates = updates
 	res.Enc = enc
 	e.stats.ObserveClassify(time.Since(start))
@@ -564,7 +515,7 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 		csn = changes[len(changes)-1].CSN
 	}
 	last := &sess.points[len(sess.points)-1]
-	if len(updates) == 0 && len(undo) == 0 {
+	if len(updates) == 0 {
 		// Nothing the replica must apply: advance the current point in
 		// place so idle polls do not grow the resume history, and the
 		// replica keeps presenting the same cookie.
@@ -574,39 +525,30 @@ func (e *Engine) poll(sess *session) (*PollResult, error) {
 	} else {
 		sess.genSeq++
 		sess.csn = csn
-		sess.points = append(sess.points, syncPoint{gen: sess.genSeq, csn: csn, undo: undo})
+		sess.points = append(sess.points, syncPoint{gen: sess.genSeq, csn: csn})
 		if len(sess.points) > e.keepPoints {
 			sess.points = sess.points[1:]
-			sess.points[0].undo = nil
 		}
 		res.Cookie = cookieString(sess.id, sess.genSeq)
 	}
 	res.CSN = e.stampCSN(csn)
 	e.countPDUs(res.Updates)
 	e.observe(sess.id, res.Updates, false)
-	return res, nil
+	return res, true
 }
 
 // reload re-sends the full content and resets the session's resume history
 // to the new sync point — used when journal history no longer covers the
 // session's sync point, or the replica presented an unknown one. The sync
-// point and the content are read atomically (Store.Snapshot): content
-// purity w.r.t. CSN is load-bearing for the group's shared-interval cache,
-// so a commit between the two reads must not be able to skew the pair.
+// point and the content are read atomically (Store.Snapshot), as in Begin.
 // The caller holds sess.mu.
 func (e *Engine) reload(sess *session) *PollResult {
 	e.stats.FullReloads.Add(1)
-	csn, entries := e.store.Snapshot(stripAttrs(sess.spec))
+	csn, entries := e.store.Snapshot(sess.spec)
 	sess.genSeq++
 	sess.csn = csn
-	sess.content = make(map[string]dn.DN, len(entries))
 	sess.points = []syncPoint{{gen: sess.genSeq, csn: csn}}
-	updates := make([]Update, 0, len(entries))
-	for _, ent := range entries {
-		sess.content[ent.DN().Norm()] = ent.DN()
-		sel := ent.Select(sess.spec.Attrs)
-		updates = append(updates, Update{Action: ActionAdd, DN: sel.DN(), Entry: sel})
-	}
+	updates := addAll(entries)
 	if e.chunked(updates) {
 		return e.beginTransfer(sess, updates, csn)
 	}
@@ -691,23 +633,14 @@ func (e *Engine) Kick(keep func(query.Query) bool) []string {
 	return ids
 }
 
-// specFilter returns the spec's filter, defaulting to match-all presence.
-func specFilter(q query.Query) filterNode {
-	if q.Filter == nil {
-		return matchAll{}
+// addAll wraps content entries, already attribute-selected, as add actions.
+func addAll(entries []*entry.Entry) []Update {
+	updates := make([]Update, len(entries))
+	for i, ent := range entries {
+		updates[i] = Update{Action: ActionAdd, DN: ent.DN(), Entry: ent}
 	}
-	return q.Filter
+	return updates
 }
-
-// filterNode is the evaluation interface shared by real filters and the
-// match-all default.
-type filterNode interface {
-	Matches(*entry.Entry) bool
-}
-
-type matchAll struct{}
-
-func (matchAll) Matches(*entry.Entry) bool { return true }
 
 // stripAttrs widens the spec to all attributes for content computation; the
 // requested attribute selection is applied when building update PDUs.

@@ -462,7 +462,7 @@ func TestRetainModeConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ap.ApplyRetain(specSerial04, ret); err != nil {
+	if err := applyRetain(ap, specSerial04, ret); err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := Converged(master, replica, specSerial04); !ok {
@@ -667,11 +667,16 @@ func TestPollUnknownCookie(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	e := entry.New(dn.MustParse("cn=a,o=xyz"))
 	e.Put("objectclass", "person").Put("cn", "a").Put("sn", "a")
+	ups := []Update{
+		{Action: ActionAdd, DN: e.DN(), Entry: e},
+		{Action: ActionModify, DN: e.DN(), Entry: e},
+		{Action: ActionDelete, DN: e.DN()},
+		{Action: ActionRetain, DN: e.DN()},
+	}
 	var tr Traffic
-	tr.Add(Update{Action: ActionAdd, DN: e.DN(), Entry: e})
-	tr.Add(Update{Action: ActionModify, DN: e.DN(), Entry: e})
-	tr.Add(Update{Action: ActionDelete, DN: e.DN()})
-	tr.Add(Update{Action: ActionRetain, DN: e.DN()})
+	for _, u := range ups {
+		tr.Add(u)
+	}
 	if tr.Adds != 1 || tr.Modifies != 1 || tr.Deletes != 1 || tr.Retains != 1 {
 		t.Errorf("traffic counts: %+v", tr)
 	}
@@ -684,11 +689,15 @@ func TestTrafficAccounting(t *testing.T) {
 	if del.ByteSize() >= add.ByteSize() {
 		t.Errorf("delete PDU size %d not below add size %d", del.ByteSize(), add.ByteSize())
 	}
+	// Accounting accumulates across batches.
 	var total Traffic
-	total.Merge(tr)
-	total.Merge(tr)
+	for i := 0; i < 2; i++ {
+		for _, u := range ups {
+			total.Add(u)
+		}
+	}
 	if total.Updates() != 8 || total.Bytes != 2*tr.Bytes {
-		t.Errorf("Merge: %+v", total)
+		t.Errorf("two batches: %+v", total)
 	}
 }
 

@@ -1,12 +1,15 @@
 package resync
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"filterdir/internal/dit"
 	"filterdir/internal/dn"
 	"filterdir/internal/entry"
+	"filterdir/internal/query"
 )
 
 // These tests pin the engine's bounded-history degradation contract: an
@@ -212,6 +215,56 @@ func TestRetainStaleGeneration(t *testing.T) {
 	}
 }
 
+// TestRetainTrimmedJournal: at a known generation whose CSN the journal no
+// longer covers, no record is left to prove any entry held, so retain mode
+// degrades exactly as for an unknown generation — every content entry
+// ships as an add and nothing is retained. The consumer upserts adds like
+// modifies and drops the unmentioned, so it still converges.
+func TestRetainTrimmedJournal(t *testing.T) {
+	st, err := dit.NewStore([]string{"o=xyz"}, dit.WithJournalLimit(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := storeWithBase(t, st)
+	a := addPerson(t, master, "a", "0401", "1")
+	victim := addPerson(t, master, "victim", "0402", "1")
+	addPerson(t, master, "c", "0403", "1")
+
+	eng := NewEngine(master)
+	res, err := eng.Begin(specSerial04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := newReplicaStore(t)
+	ap := NewApplier(replica)
+	if err := ap.Apply(specSerial04, res); err != nil {
+		t.Fatal(err)
+	}
+
+	mustModify(t, master, victim, "serialNumber", "0999") // E10
+	for i := 0; i < 8; i++ {
+		mustModify(t, master, a, "dept", fmt.Sprint(i)) // trims the journal past the sync point
+	}
+	res, err = eng.PollRetain(res.Cookie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Updates) != 2 {
+		t.Errorf("retain poll mentioned %d entries, want a and c", len(res.Updates))
+	}
+	for _, u := range res.Updates {
+		if u.Action != ActionAdd {
+			t.Errorf("%s for %s past the trimmed journal, want add", u.Action, u.DN)
+		}
+	}
+	if err := applyRetain(ap, specSerial04, res); err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := Converged(master, replica, specSerial04); !ok {
+		t.Fatalf("retain mode past the trimmed journal did not converge: %s", why)
+	}
+}
+
 // TestRetainDropUnmentioned pins equation 3's consumer contract at a known
 // generation: unchanged held entries come back as cheap retains, and a
 // moved-out entry is simply unmentioned — dropping unmentioned entries
@@ -278,4 +331,35 @@ func mustModify(t testing.TB, st *dit.Store, d dn.DN, attr, value string) {
 	if err := st.Modify(d, []dit.Mod{{Op: dit.ModReplace, Attr: attr, Values: []string{value}}}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// applyRetain applies an equation-(3) retain-mode result to the applier's
+// store: mentioned entries are upserted or retained, and every held
+// in-content entry that was not mentioned is discarded.
+func applyRetain(a *Applier, spec query.Query, res *PollResult) error {
+	mentioned := make(map[string]bool, len(res.Updates))
+	for _, u := range res.Updates {
+		a.Traffic.Add(u)
+		mentioned[u.DN.Norm()] = true
+		switch u.Action {
+		case ActionAdd, ActionModify:
+			if err := a.Store.Upsert(u.Entry); err != nil {
+				return fmt.Errorf("apply %s %q: %w", u.Action, u.DN.String(), err)
+			}
+		case ActionRetain:
+			// Nothing to do: the entry is unchanged and already held.
+		case ActionDelete:
+			if err := a.Store.RemoveAny(u.DN); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
+				return err
+			}
+		}
+	}
+	for _, held := range a.Store.MatchAll(stripAttrs(spec)) {
+		if !mentioned[held.DN().Norm()] {
+			if err := a.Store.RemoveAny(held.DN()); err != nil && !errors.Is(err, dit.ErrNoSuchObject) {
+				return err
+			}
+		}
+	}
+	return nil
 }

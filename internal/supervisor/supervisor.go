@@ -836,30 +836,21 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 	started := time.Now()
 	probeTick := time.NewTicker(s.cfg.PollInterval)
 	defer probeTick.Stop()
-	var batch []resync.Update
-	var batchCookie string
-	var batchCSN uint64
-	take := func(u ldapnet.StreamUpdate) {
-		batch = append(batch, u.Update)
-		if u.Cookie != "" {
-			batchCookie = u.Cookie
-			batchCSN = u.CSN
-		}
-	}
+	var pending streamBatches
 	flush := func() error {
+		batch, cookie, csn := pending.release()
 		if len(batch) == 0 {
 			return nil
 		}
 		// The batch cookie is adopted inside applyUpdates only after the
 		// updates landed, so a checkpoint never names a sync point ahead of
 		// its content.
-		err := s.applyUpdates(batch, batchCookie, false)
+		err := s.applyUpdates(batch, cookie, false)
 		s.counters.StreamBatches.Add(1)
 		if err == nil {
 			s.noteExchange()
-			s.noteWatermark(batchCSN)
+			s.noteWatermark(csn)
 		}
-		batch, batchCookie, batchCSN = batch[:0], "", 0
 		return err
 	}
 	for {
@@ -909,12 +900,12 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 				}
 				return errStreamLost
 			}
-			take(u)
+			pending.take(u)
 			// Drain whatever else is already buffered, then apply as one
 			// batch so checkpoints amortize across a burst.
 			for len(ps.Updates) > 0 {
 				if u, ok := <-ps.Updates; ok {
-					take(u)
+					pending.take(u)
 				}
 			}
 			if err := flush(); err != nil {
@@ -922,6 +913,35 @@ func (s *Supervisor) streamSteadyState(client *ldapnet.Client) error {
 			}
 		}
 	}
+}
+
+// streamBatches accumulates a persist stream's pushed updates and releases
+// only whole batches, through their cookie-bearing final PDU. Applying the
+// head of a batch whose final PDU never arrived would put the content ahead
+// of the adopted cookie; if the stream then died, the resume from that
+// older cookie could never retract an entry the interval moved in and out
+// again.
+type streamBatches struct {
+	updates []resync.Update
+	whole   int // updates[:whole] ends at a cookie-bearing PDU
+	cookie  string
+	csn     uint64
+}
+
+func (b *streamBatches) take(u ldapnet.StreamUpdate) {
+	b.updates = append(b.updates, u.Update)
+	if u.Cookie != "" {
+		b.whole, b.cookie, b.csn = len(b.updates), u.Cookie, u.CSN
+	}
+}
+
+// release hands out the whole batches taken so far with the cookie and CSN
+// they reach, keeping an incomplete tail for later.
+func (b *streamBatches) release() ([]resync.Update, string, uint64) {
+	out, cookie, csn := b.updates[:b.whole], b.cookie, b.csn
+	b.updates = append([]resync.Update(nil), b.updates[b.whole:]...)
+	b.whole, b.cookie, b.csn = 0, "", 0
+	return out, cookie, csn
 }
 
 // errStreamLost re-enters the outer loop (reconnect + resume) after a

@@ -321,3 +321,41 @@ func TestCheckpointSurvivesSpecChange(t *testing.T) {
 		t.Errorf("spec-mismatched checkpoint restored cookie %q, want fresh start", got)
 	}
 }
+
+// TestStreamBatchesReleaseWholeBatchesOnly: a pushed batch is applied only
+// through its cookie-bearing final PDU. The head of a batch the stream cut
+// off before its cookie stays pending — applied, it would put the replica
+// ahead of its cookie, and the resume from that cookie could leave an entry
+// the interval moved in and out again behind as a ghost.
+func TestStreamBatchesReleaseWholeBatchesOnly(t *testing.T) {
+	up := func(i int, cookie string, csn uint64) ldapnet.StreamUpdate {
+		e := personEntry(i)
+		return ldapnet.StreamUpdate{
+			Update: resync.Update{Action: resync.ActionAdd, DN: e.DN(), Entry: e},
+			Cookie: cookie, CSN: csn,
+		}
+	}
+	var b streamBatches
+	b.take(up(1, "", 0))
+	if got, _, _ := b.release(); len(got) != 0 {
+		t.Fatalf("released %d updates of a batch whose final PDU has not arrived", len(got))
+	}
+	b.take(up(2, "sess-1@2", 7)) // completes the first batch
+	b.take(up(3, "sess-1@3", 9)) // a second whole batch
+	b.take(up(4, "", 0))         // head of a third
+	got, cookie, csn := b.release()
+	if len(got) != 3 || cookie != "sess-1@3" || csn != 9 {
+		t.Fatalf("release = %d updates, cookie %q, CSN %d; want 3, sess-1@3, 9", len(got), cookie, csn)
+	}
+	if !got[2].DN.Equal(personEntry(3).DN()) {
+		t.Errorf("released batch ends at %s, want the third update", got[2].DN)
+	}
+	b.take(up(5, "sess-1@4", 11))
+	got, cookie, _ = b.release()
+	if len(got) != 2 || cookie != "sess-1@4" {
+		t.Fatalf("tail batch = %d updates, cookie %q; want the kept head and its final PDU", len(got), cookie)
+	}
+	if !got[0].DN.Equal(personEntry(4).DN()) {
+		t.Errorf("tail batch starts at %s, want the kept head", got[0].DN)
+	}
+}
